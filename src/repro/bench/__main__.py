@@ -10,10 +10,6 @@ byte-identical).
 ``--jobs N`` fans seeded runs out over a process pool (see
 ``repro.bench.harness.parallel_map``); output is identical to serial.
 
-``--shards N`` exports ``REPRO_SHARDS=N`` so every cluster the
-experiments build runs on a sharded engine (``repro.sim.shard``);
-artifacts are byte-identical to serial runs (test-enforced).
-
 ``--obs`` additionally runs the instrumented observability probe
 (``repro.obs.probe``) and writes ``OBS_report.json`` /
 ``OBS_breakdown.csv`` next to the experiment artifacts.  The
@@ -30,8 +26,8 @@ Subcommands:
 
 from __future__ import annotations
 
+import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -44,55 +40,46 @@ from repro.bench.scales import get_scale
 WALLCLOCK_ARTIFACT = "BENCH_wallclock.json"
 
 
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.bench",
+        description=__doc__,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        allow_abbrev=False,
+    )
+    parser.add_argument("--json", type=Path, metavar="DIR",
+                        help="write one JSON artifact per experiment")
+    parser.add_argument("--jobs", type=int, metavar="N",
+                        help="fan seeded runs over N worker processes")
+    parser.add_argument("--obs", action="store_true",
+                        help="also run the instrumented observability probe")
+    parser.add_argument("experiments", nargs="*", metavar="experiment",
+                        help=f"default: all of {sorted(ALL_EXPERIMENTS)}")
+    return parser
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    if "--shards" in argv:
-        # Accepted anywhere (also ahead of the ``micro`` subcommand):
-        # exported as REPRO_SHARDS so clusters built inside experiments
-        # — including in ``--jobs`` worker processes — shard themselves.
-        idx = argv.index("--shards")
-        try:
-            shards = int(argv[idx + 1])
-        except (IndexError, ValueError):
-            print("--shards requires an integer argument", file=sys.stderr)
-            return 2
-        del argv[idx : idx + 2]
-        os.environ["REPRO_SHARDS"] = str(shards)
     if argv and argv[0] == "compare":
         return _compare(argv[1:])
     if argv and argv[0] == "micro":
         from repro.bench.micro import main as micro_main
 
         return micro_main(argv[1:])
-    json_dir = None
-    if "--json" in argv:
-        idx = argv.index("--json")
-        try:
-            json_dir = Path(argv[idx + 1])
-        except IndexError:
-            print("--json requires a directory argument", file=sys.stderr)
-            return 2
-        del argv[idx : idx + 2]
-    jobs = None
-    if "--jobs" in argv:
-        idx = argv.index("--jobs")
-        try:
-            jobs = int(argv[idx + 1])
-        except (IndexError, ValueError):
-            print("--jobs requires an integer argument", file=sys.stderr)
-            return 2
-        del argv[idx : idx + 2]
-    with_obs = "--obs" in argv
-    if with_obs:
-        argv.remove("--obs")
-    names = argv or list(ALL_EXPERIMENTS)
-    unknown = [n for n in names if n not in ALL_EXPERIMENTS]
-    if unknown:
-        # Validate before touching the filesystem: a typo'd experiment
-        # name must not leave an empty --json directory behind.
-        print(f"unknown experiments: {unknown}; "
-              f"available: {sorted(ALL_EXPERIMENTS)}", file=sys.stderr)
-        return 2
+    parser = _parser()
+    try:
+        args = parser.parse_intermixed_args(argv)
+        unknown = [n for n in args.experiments if n not in ALL_EXPERIMENTS]
+        if unknown:
+            # Validate before touching the filesystem: a typo'd experiment
+            # name must not leave an empty --json directory behind.
+            parser.error(f"unknown experiments: {unknown}; "
+                         f"available: {sorted(ALL_EXPERIMENTS)}")
+    except SystemExit as exc:
+        # --help exits 0; argparse errors print usage and exit 2.
+        return exc.code
+    json_dir, jobs, with_obs = args.json, args.jobs, args.obs
+    names = args.experiments or list(ALL_EXPERIMENTS)
     if json_dir is not None:
         json_dir.mkdir(parents=True, exist_ok=True)
     if jobs is not None:

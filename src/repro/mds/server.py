@@ -31,7 +31,7 @@ from repro.mds.journal import MDSJournal
 from repro.mds.mdstore import FsError, MetadataStore
 from repro.rados.cluster import ObjectStore
 from repro.rados.striper import Striper
-from repro.sim.engine import Engine, Event, Interrupt, Timeout
+from repro.sim.engine import Engine, Event, Interrupt
 from repro.sim.network import Network
 from repro.sim.resources import Store
 from repro.sim.rng import RngStream

@@ -691,39 +691,3 @@ class Engine:
                 return
             self.step()
         self._now = until
-
-    def run_window(self, horizon: float) -> int:
-        """Process every pending event with time strictly below ``horizon``
-        and return how many were dispatched.
-
-        The sharded coordinator's per-round entry point
-        (:mod:`repro.sim.shard`): unlike :meth:`run`, the clock is *not*
-        advanced to the horizon — it stays at the last dispatched event,
-        so a later window (or a cross-shard delivery between windows)
-        continues from real simulated time.  ``horizon=inf`` drains the
-        engine and counts dispatches.  Not integrated with the
-        ``scheduler`` ready-set hook, which is serial-only.
-        """
-        queue = self._now_queue
-        heap = self._heap
-        heappop = heapq.heappop
-        count = 0
-        while True:
-            if queue:
-                # Queue entries are due at _now, which is inside the
-                # window by construction (they were admitted while an
-                # in-window event was being processed).
-                if heap and heap[0][1] < _DEFAULT_PRIORITY and heap[0][0] <= self._now:
-                    event = heappop(heap)[3]
-                else:
-                    event = queue.popleft()
-            elif heap and heap[0][0] < horizon:
-                item = heappop(heap)
-                self._now = item[0]
-                event = item[3]
-            else:
-                return count
-            if self.trace is not None:
-                self.trace(self._now, event)
-            event._process_callbacks()
-            count += 1

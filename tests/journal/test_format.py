@@ -50,11 +50,16 @@ def test_short_stream_rejected():
         JournalCodec.decode_stream(b"xx")
 
 
-def test_bad_version_rejected():
-    data = bytearray(JournalCodec.encode_stream([]))
-    data[8] = 99  # version field
-    with pytest.raises(JournalFormatError):
+@pytest.mark.parametrize("version", [99, 1])
+def test_bad_version_rejected(version):
+    # Version 1 (bare event frames) is no longer read: only version 2.
+    data = bytearray(JournalCodec.encode_stream([ev("/f0")]))
+    data[8] = version  # version field
+    with pytest.raises(JournalFormatError,
+                       match=f"unsupported journal version {version}"):
         JournalCodec.decode_stream(bytes(data))
+    scan = JournalCodec.scan_stream(bytes(data))
+    assert scan.damage == "segment-corrupt" and scan.events == []
 
 
 def test_truncated_tail_strict_raises():

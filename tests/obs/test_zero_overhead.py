@@ -107,6 +107,15 @@ def test_attach_detach_restores_hooks():
     obs.detach()  # idempotent
 
 
+def test_serial_cluster_attach_does_not_touch_the_engine():
+    cluster = Cluster(seed=5)
+    obs = observe(cluster)
+    try:
+        assert not hasattr(cluster.engine, "obs")
+    finally:
+        obs.detach()
+
+
 def test_clients_created_after_attach_inherit_obs():
     cluster = Cluster(seed=1)
     with Observability(cluster) as obs:

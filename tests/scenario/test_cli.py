@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from repro.bench.__main__ import main as bench_main
 from repro.scenario.__main__ import main
 from repro.scenario.report import load_artifact
 
@@ -83,3 +86,31 @@ def test_usage_errors(capsys):
     assert main(["run"]) == 2
     assert main(["compare", "one.json"]) == 2
     capsys.readouterr()
+
+
+_CLIS = {"scenario": main, "bench": bench_main}
+
+
+@pytest.mark.parametrize("cli,args,code", [
+    ("scenario", "--help", 0),
+    ("scenario", "run --help", 0),
+    ("scenario", "run F --jobs abc", 2),
+    ("scenario", "run F --seeds", 2),
+    ("scenario", "run F --seeds 0", 2),
+    ("scenario", "run F --shards 2", 2),
+    ("scenario", "compare a.json b.json loose", 2),
+    ("bench", "--help", 0),
+    ("bench", "--jobs abc", 2),
+    ("bench", "--json", 2),
+    ("bench", "--shards 2", 2),
+    ("bench", "no-such-experiment", 2),
+    ("bench", "micro --help", 0),
+    ("bench", "micro compare a.json b.json loose", 2),
+])
+def test_help_and_bad_arguments_print_usage(cli, args, code, capsys):
+    # --help prints usage and exits 0; anything malformed or unknown
+    # (including the removed --shards) prints usage and exits 2, without
+    # touching the filesystem or running anything.
+    assert _CLIS[cli](args.split()) == code
+    out = capsys.readouterr()
+    assert "usage:" in (out.out if code == 0 else out.err)

@@ -9,7 +9,7 @@ seq-order run event-for-event.
 
 from repro.cluster import Cluster
 from repro.conformance.recorder import HistoryRecorder
-from repro.sim.engine import Engine, Event, Timeout
+from repro.sim.engine import Engine, Timeout
 
 
 def _workload(eng, log):

@@ -91,3 +91,23 @@ def test_custom_mds_config_respected():
     cluster = Cluster(mds_config=cfg)
     assert not cluster.mds.journal.enabled
     assert cluster.mds.journal.dispatch_size == 5
+
+
+def test_single_engine_only():
+    from repro.sim.engine import Engine
+
+    cluster = Cluster(shards=1)
+    assert type(cluster.engine) is Engine
+    assert cluster.network.engine is cluster.engine
+    assert all(osd.engine is cluster.engine for osd in cluster.objstore.osds)
+    with pytest.raises(ValueError, match="sharded engine was removed"):
+        Cluster(shards=2)
+
+
+def test_repro_shards_environment_is_ignored(monkeypatch):
+    from repro.sim.engine import Engine
+
+    monkeypatch.setenv("REPRO_SHARDS", "2")
+    cluster = Cluster(seed=3)
+    assert type(cluster.engine) is Engine
+    assert cluster.new_client().engine is cluster.engine
