@@ -19,11 +19,12 @@ any counterexample — which is the *expected* outcome under
 ``--mutation``); ``rules`` prints the rule catalog.  ``--json`` emits
 machine-readable output and ``--format github`` emits workflow
 ``::error`` annotations.  Exit codes: 0 clean, 1 findings/errors,
-2 usage error.
+2 usage error.  ``COMMAND --help`` prints that command's options.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 from pathlib import Path
@@ -75,60 +76,41 @@ def lint_github(report: LintReport) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _parse_format(argv: List[str]) -> Optional[str]:
-    """Pop ``--json`` / ``--format X`` from ``argv``; returns the format.
+def _parser(command: str, description: str) -> argparse.ArgumentParser:
+    return argparse.ArgumentParser(
+        prog=f"python -m repro.analysis {command}", description=description,
+    )
 
-    Mutates ``argv`` in place; returns ``"text"`` (default), ``"json"``
-    or ``"github"``, or None on a usage error (already reported).
-    """
-    fmt = "text"
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--json":
-            fmt = "json"
-            del argv[i]
-        elif argv[i] == "--format":
-            if i + 1 >= len(argv):
-                print("--format requires a value (text|json|github)",
-                      file=sys.stderr)
-                return None
-            fmt = argv[i + 1]
-            if fmt not in ("text", "json", "github"):
-                print(f"unknown format {fmt!r} (want text|json|github)",
-                      file=sys.stderr)
-                return None
-            del argv[i:i + 2]
-        else:
-            i += 1
-    return fmt
+
+def _add_format(parser: argparse.ArgumentParser) -> None:
+    """``--json`` / ``--format text|json|github`` (the last one wins)."""
+    parser.add_argument("--format", dest="format", default="text",
+                        choices=("text", "json", "github"),
+                        help="output format (default text)")
+    parser.add_argument("--json", dest="format", action="store_const",
+                        const="json", help="same as --format json")
+
+
+def _count(value: str) -> int:
+    if not value.isdigit():
+        raise argparse.ArgumentTypeError(f"{value!r} is not a count")
+    return int(value)
 
 
 def _lint(argv: List[str]) -> int:
-    argv = list(argv)
-    fmt = _parse_format(argv)
-    if fmt is None:
-        return 2
-    rules: Optional[List[str]] = None
-    show_stats = False
-    paths: List[str] = []
-    it = iter(argv)
-    for arg in it:
-        if arg == "--rules":
-            spec = next(it, None)
-            if spec is None:
-                print("--rules requires a comma-separated list", file=sys.stderr)
-                return 2
-            rules = [r.strip() for r in spec.split(",") if r.strip()]
-        elif arg == "--stats":
-            show_stats = True
-        elif arg.startswith("-"):
-            print(f"unknown lint option {arg!r}", file=sys.stderr)
-            return 2
-        else:
-            paths.append(arg)
-    if not paths:
-        print("lint requires at least one file or directory", file=sys.stderr)
-        return 2
+    parser = _parser("lint", "Run the simlint determinism lint.")
+    parser.add_argument("paths", nargs="+", metavar="PATH",
+                        help="files or directories to lint")
+    parser.add_argument("--rules", type=lambda spec: [
+        r.strip() for r in spec.split(",") if r.strip()
+    ], help="comma-separated rule ids (default: all)")
+    parser.add_argument("--stats", action="store_true",
+                        help="also print per-suppression waiver counts")
+    _add_format(parser)
+    args = parser.parse_intermixed_args(argv)
+    fmt, paths, rules, show_stats = (
+        args.format, args.paths, args.rules, args.stats
+    )
     try:
         report = lint_paths(paths, rules=rules)
     except (FileNotFoundError, ValueError) as exc:
@@ -147,32 +129,21 @@ def _lint(argv: List[str]) -> int:
 
 
 def _check(argv: List[str]) -> int:
-    argv = list(argv)
-    fmt = _parse_format(argv)
-    if fmt is None:
-        return 2
-    compositions: List[str] = []
-    policy_files: List[str] = []
-    it = iter(argv)
-    for arg in it:
-        if arg == "--composition":
-            value = next(it, None)
-            if value is None:
-                print("--composition requires an expression", file=sys.stderr)
-                return 2
-            compositions.append(value)
-        elif arg == "--policies":
-            value = next(it, None)
-            if value is None:
-                print("--policies requires a file path", file=sys.stderr)
-                return 2
-            policy_files.append(value)
-        else:
-            print(f"unknown check argument {arg!r}", file=sys.stderr)
-            return 2
+    parser = _parser(
+        "check", "Check compositions and versioned policy sets statically."
+    )
+    parser.add_argument("--composition", action="append", default=[],
+                        metavar="EXPR", help="a composition expression "
+                        "like 'a+b||c' (repeatable)")
+    parser.add_argument("--policies", action="append", default=[],
+                        metavar="FILE", help="a policy-set file (repeatable)")
+    _add_format(parser)
+    args = parser.parse_args(argv)
+    fmt, compositions, policy_files = (
+        args.format, args.composition, args.policies
+    )
     if not compositions and not policy_files:
-        print("check requires --composition and/or --policies", file=sys.stderr)
-        return 2
+        parser.error("check requires --composition and/or --policies")
     results: List[Dict] = []
     for text in compositions:
         errors = check_plan(text)
@@ -243,59 +214,35 @@ def _model(argv: List[str]) -> int:
     )
     from repro.conformance.driver import CELLS, CONSISTENCIES, DURABILITIES
 
-    cells: List = []
-    depth = 4
-    budget = 400
-    mutation = None
-    reduction = True
-    out_path: Optional[str] = None
-    as_json = False
-    it = iter(argv)
-    for arg in it:
-        if arg == "--cell":
-            value = next(it, None)
-            if value is None or "," not in value:
-                print("--cell requires CONSISTENCY,DURABILITY", file=sys.stderr)
-                return 2
-            c, d = (p.strip() for p in value.split(",", 1))
-            if c not in CONSISTENCIES or d not in DURABILITIES:
-                print(
-                    f"unknown cell {value!r}; consistencies: "
-                    f"{CONSISTENCIES}, durabilities: {DURABILITIES}",
-                    file=sys.stderr,
-                )
-                return 2
-            cells.append((c, d))
-        elif arg in ("--depth", "--budget"):
-            value = next(it, None)
-            if value is None or not value.isdigit():
-                print(f"{arg} requires a positive integer", file=sys.stderr)
-                return 2
-            if arg == "--depth":
-                depth = int(value)
-            else:
-                budget = int(value)
-        elif arg == "--mutation":
-            value = next(it, None)
-            if value is None or value not in MUTATIONS:
-                print(
-                    f"--mutation requires one of {sorted(MUTATIONS)}",
-                    file=sys.stderr,
-                )
-                return 2
-            mutation = MUTATIONS[value]
-        elif arg == "--no-reduction":
-            reduction = False
-        elif arg == "--out":
-            out_path = next(it, None)
-            if out_path is None:
-                print("--out requires a file path", file=sys.stderr)
-                return 2
-        elif arg == "--json":
-            as_json = True
-        else:
-            print(f"unknown model option {arg!r}", file=sys.stderr)
-            return 2
+    def cell(value: str):
+        c, _, d = (p.strip() for p in value.partition(","))
+        if c not in CONSISTENCIES or d not in DURABILITIES:
+            raise argparse.ArgumentTypeError(
+                f"unknown cell {value!r}; consistencies: {CONSISTENCIES}, "
+                f"durabilities: {DURABILITIES}"
+            )
+        return (c, d)
+
+    parser = _parser("model", "Model-check Table I cells exhaustively.")
+    parser.add_argument("--cell", type=cell, action="append", default=[],
+                        metavar="C,D", help="a cell like strong,global "
+                        "(repeatable; default: all nine)")
+    parser.add_argument("--depth", type=_count, default=4, metavar="N",
+                        help="ops per client (default 4)")
+    parser.add_argument("--budget", type=_count, default=400, metavar="M",
+                        help="runs per cell (default 400)")
+    parser.add_argument("--mutation", choices=sorted(MUTATIONS),
+                        help="run with a seeded bug (expected to fail)")
+    parser.add_argument("--no-reduction", dest="reduction",
+                        action="store_false", help="disable DPOR-lite pruning")
+    parser.add_argument("--out", metavar="FILE",
+                        help="write the JSON verdict artifact here")
+    parser.add_argument("--json", action="store_true",
+                        help="print the JSON verdict instead of a summary")
+    args = parser.parse_args(argv)
+    cells, depth, budget = args.cell, args.depth, args.budget
+    mutation = MUTATIONS[args.mutation] if args.mutation else None
+    reduction, out_path, as_json = args.reduction, args.out, args.json
     report = explore_matrix(
         cells or CELLS, depth=depth, budget=budget,
         mutation=mutation, reduction=reduction,
@@ -332,10 +279,15 @@ def _model(argv: List[str]) -> int:
     return 0 if report["ok"] else 1
 
 
-def _rules() -> int:
+def _rules(argv: List[str]) -> int:
+    _parser("rules", "Print the simlint rule catalog.").parse_args(argv)
     for rule_id, summary in rule_catalog().items():
         print(f"{rule_id}: {summary}")
     return 0
+
+
+COMMANDS = {"lint": _lint, "check": _check, "model": _model,
+            "rules": _rules}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -343,17 +295,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not argv or argv[0] in ("-h", "--help", "help"):
         print(USAGE.strip())
         return 0 if argv else 2
-    cmd, rest = argv[0], argv[1:]
-    if cmd == "lint":
-        return _lint(rest)
-    if cmd == "check":
-        return _check(rest)
-    if cmd == "model":
-        return _model(rest)
-    if cmd == "rules":
-        return _rules()
-    # Default: treat every argument as a lint target/option.
-    return _lint(argv)
+    if argv[0] in COMMANDS:
+        command, rest = COMMANDS[argv[0]], argv[1:]
+    else:
+        # Default: treat every argument as a lint target/option.
+        command, rest = _lint, argv
+    try:
+        return command(rest)
+    except SystemExit as exc:  # argparse: --help (0) or a usage error (2)
+        return exc.code
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 The engine's optional ``scheduler`` hook (see
 :meth:`repro.sim.engine.Engine._step_controlled`) surfaces every
-dispatch tie — events ready at equal ``(time, priority)`` — and lets a
+dispatch tie — events ready at the same time — and lets a
 callback pick which fires first.  :class:`ScheduleController` is that
 callback packaged as a replayable *schedule*: a tuple of choice indices
 consumed one per decision point.  Running with an empty schedule takes

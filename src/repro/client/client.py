@@ -98,11 +98,9 @@ class Client:
         self.stats = StatsRegistry(engine, self.name)
         self.retry = retry or RetryPolicy()
         self.up = True
-        #: Conformance history recorder (see ``repro.conformance``);
-        #: None keeps the hot path unobserved.
-        self.recorder = None
-        #: Observability (see ``repro.obs``); same None-guarded pattern.
-        self.obs = None
+        #: Record sink (see :mod:`repro.sink`); None keeps the hot path
+        #: unobserved.
+        self.sink = None
         #: Optional per-path MDS routing (multi-MDS subtree partitioning);
         #: ``router(path) -> MetadataServer``.  None pins to ``mds``.
         self.router = router
@@ -134,16 +132,16 @@ class Client:
         self.up = False
         self.cache = ClientCache(self.client_id)
         self.stats.counter("crashes").incr()
-        if self.recorder is not None:
-            self.recorder.record_crash(self.name)
+        if self.sink is not None:
+            self.sink.crash(self.name)
 
     def recover(self) -> None:
         if self.up:
             return
         self.up = True
         self.stats.counter("recoveries").incr()
-        if self.recorder is not None:
-            self.recorder.record_recover(self.name, mode="rpc")
+        if self.sink is not None:
+            self.sink.recover(self, "rpc")
 
     # -- plumbing -----------------------------------------------------------
     def _exchange(
@@ -180,21 +178,14 @@ class Client:
         if not self.up:
             raise OSError(f"{self.name} is crashed")
         mds = self._target(request.path)
-        rec = self.recorder
-        obs = self.obs
-        span = None
-        if obs is not None:
-            span = obs.tracer.start(
-                "client.rpc", daemon=self.name, mechanism="rpc",
-                op=request.op,
+        sink = self.sink
+        token = None
+        if sink is not None:
+            token = sink.op_begin(
+                self, "rpc", request.op, request.path, request.names
             )
+        reply = None
         try:
-            op_ids = None
-            if rec is not None:
-                op_ids = rec.record_invoke(
-                    self.name, request.op, rec.request_paths(request),
-                    self.client_id,
-                )
             yield self.engine.sleep(op_count * cal.CLIENT_OP_OVERHEAD_S)
             attempt = 0
             backoff = self.retry.base_backoff_s
@@ -205,14 +196,10 @@ class Client:
                     self.stats.counter("rpc_failures").incr()
                     if attempt >= self.retry.max_retries:
                         self.stats.counter("rpc_giveups").incr()
-                        response = Response(
+                        reply = Response(
                             ok=False, error=f"ETIMEDOUT: {exc}", rpcs=1
                         )
-                        if rec is not None:
-                            rec.record_complete(
-                                self.name, op_ids, False, error=response.error
-                            )
-                        return response
+                        return reply
                     attempt += 1
                     self.stats.counter("rpc_retries").incr()
                     yield self.engine.sleep(backoff)
@@ -229,11 +216,8 @@ class Client:
                     self.stats.counter("redirects").incr()
                     if attempt >= self.retry.max_retries:
                         self.stats.counter("rpc_giveups").incr()
-                        if rec is not None:
-                            rec.record_complete(
-                                self.name, op_ids, False, error=response.error
-                            )
-                        return response
+                        reply = response
+                        return reply
                     attempt += 1
                     yield self.engine.sleep(backoff)
                     backoff = min(
@@ -249,19 +233,11 @@ class Client:
                 self.cache.note_lookup(local=False)
             else:
                 self.cache.note_lookup(local=True)
-            if rec is not None:
-                rec.record_complete(self.name, op_ids, response.ok, error=response.error)
-            return response
+            reply = response
+            return reply
         finally:
-            if span is not None:
-                obs.tracer.end(span)
-                obs.hub.histogram(
-                    "op_latency_s", daemon=self.name, mechanism="rpc",
-                    op=request.op,
-                ).observe(span.duration_s)
-                obs.hub.counter(
-                    "ops", daemon=self.name, mechanism="rpc", op=request.op
-                ).incr(op_count)
+            if sink is not None:
+                sink.op_end(token, self, op_count, reply)
 
     # -- operations ------------------------------------------------------------
     def mkdir(self, path: str) -> Generator[Event, None, Response]:

@@ -84,11 +84,9 @@ class DecoupledClient:
         #: One-shot armed corruption for the next local persist:
         #: ``(mode, seed)`` per :mod:`repro.faults.corrupt`.
         self._armed_persist_fault: Optional[tuple] = None
-        #: Conformance history recorder (see ``repro.conformance``);
-        #: None keeps the append path unobserved.
-        self.recorder = None
-        #: Observability (see ``repro.obs``); same None-guarded pattern.
-        self.obs = None
+        #: Record sink (see :mod:`repro.sink`); None keeps the append
+        #: path unobserved.
+        self.sink = None
 
     # -- inode provisioning -------------------------------------------------
     def assign_inodes(self, ino_range) -> None:
@@ -115,19 +113,41 @@ class DecoupledClient:
             per_op += cal.LOCAL_PERSIST_RECORD_S
         return n * per_op
 
-    def _obs_record(self, op: str, n: int, t0: float) -> None:
-        """Record one append-path op batch (no-op when obs is off)."""
-        obs = self.obs
-        if obs is None:
-            return
-        obs.hub.histogram(
-            "op_latency_s", daemon=self.name,
-            mechanism="append_client_journal", op=op,
-        ).observe(self.engine.now - t0)
-        obs.hub.counter(
-            "ops", daemon=self.name, mechanism="append_client_journal",
-            op=op,
-        ).incr(n)
+    def _append(
+        self, op: str, path: str, names, build
+    ) -> Generator[Event, None, list]:
+        """One append-path op batch (process body): the CPU cost, then
+        the journal records ``build()`` makes (a counted-only batch of
+        ``names`` creates when ``build`` is None), the acknowledgement,
+        and the per-record persist under ``persist_each``.  Returns the
+        records appended."""
+        sink = self.sink
+        token = None
+        if sink is not None:
+            token = sink.op_begin(self, "append_client_journal", op, path, names)
+        if names is None:
+            n = 1
+        elif build is None:
+            n = names  # counted-only creates
+        else:
+            n = len(names)
+        try:
+            yield self.engine.sleep(self._op_time(n))
+            if build is None:
+                appended = []
+                self.counted_ops += n
+            else:
+                appended = [self.journal.append(ev) for ev in build()]
+                if sink is not None:
+                    sink.op_acked(token, self, appended)
+            if self.persist_each:
+                yield from self.persist_device.write(n * WIRE_EVENT_BYTES)
+                self.note_local_persist()
+            self.stats.counter("ops").incr(n)
+            return appended
+        finally:
+            if sink is not None:
+                sink.op_end(token, self, n)
 
     # -- operations (process bodies) ---------------------------------------
     def create_many(
@@ -136,128 +156,48 @@ class DecoupledClient:
         names_or_count: Union[int, Sequence[str]],
     ) -> Generator[Event, None, int]:
         """Append creates for many files; returns ops recorded."""
-        obs = self.obs
-        span = None
-        if obs is not None:
-            span = obs.tracer.start(
-                "client.append", daemon=self.name,
-                mechanism="append_client_journal", op="create",
-            )
-        t0 = self.engine.now
-        try:
-            if isinstance(names_or_count, int):
-                n = names_or_count
-                yield self.engine.sleep(self._op_time(n))
-                self.counted_ops += n
-                if self.persist_each:
-                    yield from self.persist_device.write(n * WIRE_EVENT_BYTES)
-                    self.note_local_persist()
-                self.stats.counter("ops").incr(n)
-                self._obs_record("create", n, t0)
-                return n
-            names = list(names_or_count)
-            rec = self.recorder
-            op_ids = None
-            if rec is not None:
-                base = dir_path.rstrip("/")
-                op_ids = rec.record_invoke(
-                    self.name, "create", [f"{base}/{n}" for n in names],
-                    self.client_id,
-                )
-            yield self.engine.sleep(self._op_time(len(names)))
-            appended = []
+        if isinstance(names_or_count, int):
+            yield from self._append("create", dir_path, names_or_count, None)
+            return names_or_count
+        names = list(names_or_count)
+        base = dir_path.rstrip("/")
+
+        def build():
             for name in names:
-                path = dir_path.rstrip("/") + "/" + name
-                appended.append(self.journal.append(
-                    JournalEvent(
-                        EventType.CREATE,
-                        path,
-                        ino=self._next_ino(),
-                        mtime=self.engine.now,
-                        client_id=self.client_id,
-                    )
-                ))
-            if rec is not None:
-                rec.record_complete(self.name, op_ids, True, events=appended)
-            if self.persist_each:
-                yield from self.persist_device.write(len(names) * WIRE_EVENT_BYTES)
-                self.note_local_persist()
-            self.stats.counter("ops").incr(len(names))
-            self._obs_record("create", len(names), t0)
-            return len(names)
-        finally:
-            if span is not None:
-                obs.tracer.end(span)
+                yield JournalEvent(
+                    EventType.CREATE, f"{base}/{name}", ino=self._next_ino(),
+                    mtime=self.engine.now, client_id=self.client_id,
+                )
+
+        yield from self._append("create", dir_path, names, build)
+        return len(names)
 
     def mkdir(self, path: str) -> Generator[Event, None, JournalEvent]:
-        rec = self.recorder
-        op_ids = None
-        if rec is not None:
-            op_ids = rec.record_invoke(self.name, "mkdir", [path], self.client_id)
-        t0 = self.engine.now
-        yield self.engine.sleep(self._op_time(1))
-        ev = self.journal.append(
+        appended = yield from self._append("mkdir", path, None, lambda: [
             JournalEvent(
-                EventType.MKDIR,
-                path,
-                ino=self._next_ino(),
-                mode=0o755,
-                mtime=self.engine.now,
-                client_id=self.client_id,
+                EventType.MKDIR, path, ino=self._next_ino(), mode=0o755,
+                mtime=self.engine.now, client_id=self.client_id,
             )
-        )
-        if rec is not None:
-            rec.record_complete(self.name, op_ids, True, events=[ev])
-        if self.persist_each:
-            yield from self.persist_device.write(WIRE_EVENT_BYTES)
-            self.note_local_persist()
-        self.stats.counter("ops").incr(1)
-        self._obs_record("mkdir", 1, t0)
-        return ev
+        ])
+        return appended[0]
 
     def unlink(self, path: str) -> Generator[Event, None, JournalEvent]:
-        rec = self.recorder
-        op_ids = None
-        if rec is not None:
-            op_ids = rec.record_invoke(self.name, "unlink", [path], self.client_id)
-        t0 = self.engine.now
-        yield self.engine.sleep(self._op_time(1))
-        ev = self.journal.append(
+        appended = yield from self._append("unlink", path, None, lambda: [
             JournalEvent(
                 EventType.UNLINK, path, mtime=self.engine.now,
                 client_id=self.client_id,
             )
-        )
-        if rec is not None:
-            rec.record_complete(self.name, op_ids, True, events=[ev])
-        if self.persist_each:
-            yield from self.persist_device.write(WIRE_EVENT_BYTES)
-            self.note_local_persist()
-        self.stats.counter("ops").incr(1)
-        self._obs_record("unlink", 1, t0)
-        return ev
+        ])
+        return appended[0]
 
     def rename(self, src: str, dst: str) -> Generator[Event, None, JournalEvent]:
-        rec = self.recorder
-        op_ids = None
-        if rec is not None:
-            op_ids = rec.record_invoke(self.name, "rename", [src], self.client_id)
-        t0 = self.engine.now
-        yield self.engine.sleep(self._op_time(1))
-        ev = self.journal.append(
+        appended = yield from self._append("rename", src, None, lambda: [
             JournalEvent(
                 EventType.RENAME, src, target_path=dst,
                 mtime=self.engine.now, client_id=self.client_id,
             )
-        )
-        if rec is not None:
-            rec.record_complete(self.name, op_ids, True, events=[ev])
-        if self.persist_each:
-            yield from self.persist_device.write(WIRE_EVENT_BYTES)
-            self.note_local_persist()
-        self.stats.counter("ops").incr(1)
-        self._obs_record("rename", 1, t0)
-        return ev
+        ])
+        return appended[0]
 
     # -- bookkeeping --------------------------------------------------------
     @property
@@ -289,16 +229,12 @@ class DecoupledClient:
         self._persisted_counted = self.counted_ops
         self._persisted_image = None
         self.stats.counter("local_persists").incr()
-        if self.recorder is not None:
-            self.recorder.record_local_persist(self)
+        if self.sink is not None:
+            self.sink.local_persist(self)
         if self._armed_persist_fault is not None:
             mode, seed = self._armed_persist_fault
             self._armed_persist_fault = None
             self._apply_persist_fault(mode, seed)
-        if self.obs is not None:
-            self.obs.hub.counter(
-                "local_persists", daemon=self.name, mechanism="local_persist"
-            ).incr()
 
     def _apply_persist_fault(self, mode: str, seed: int) -> None:
         """The armed crash fired mid-persist: what reached the disk is a
@@ -313,10 +249,8 @@ class DecoupledClient:
         self._persisted_image = damaged
         self._persisted_events = list(scan.events)
         self.stats.counter("persist_faults").incr()
-        if self.recorder is not None:
-            self.recorder.record_persist_fault(
-                self, scope="local", mode=mode, scan=scan
-            )
+        if self.sink is not None:
+            self.sink.persist_fault(self, "local", mode, scan)
 
     def crash(self, lose_disk: bool = False) -> int:
         """Simulate a client crash: the in-memory journal is lost.
@@ -339,35 +273,23 @@ class DecoupledClient:
             self._persisted_counted = 0
             self._persisted_image = None
         self.stats.counter("crashes").incr()
-        if self.recorder is not None:
-            self.recorder.record_crash(self.name, lose_disk=lose_disk, lost=lost)
+        if self.sink is not None:
+            self.sink.crash(self.name, lose_disk=lose_disk, lost=lost)
         return lost
 
     # -- recovery (process bodies) ------------------------------------------
     def _scan_image(self, data: bytes, source: str):
         """Run the verifying recovery scan over a persisted image (the
-        only thing recovery may trust), instrumented when obs is on."""
+        only thing recovery may trust)."""
         from repro.journal.format import JournalCodec
 
-        obs = self.obs
-        span = None
-        if obs is not None:
-            span = obs.tracer.start(
-                "recover.scan", daemon=self.name, mechanism="recovery",
-                source=source,
-            )
+        sink = self.sink
+        token = None
+        if sink is not None:
+            token = sink.scan_begin(self.name, source)
         scan = JournalCodec.scan_stream(data)
-        if span is not None:
-            obs.tracer.end(span)
-            obs.hub.histogram(
-                "recovery_scan_events", daemon=self.name,
-                mechanism="recovery", source=source,
-            ).observe(len(scan.events))
-            if scan.damage is not None:
-                obs.hub.counter(
-                    "recovery_scan_damage", daemon=self.name,
-                    mechanism="recovery", damage=scan.damage,
-                ).incr()
+        if sink is not None:
+            sink.scan_end(token, self.name, source, scan)
         return scan
 
     def recover_local(self) -> Generator[Event, None, int]:
@@ -387,8 +309,8 @@ class DecoupledClient:
         self.journal.restore(self._persisted_events)
         self.counted_ops = self._persisted_counted
         self.stats.counter("recoveries").incr()
-        if self.recorder is not None:
-            self.recorder.record_client_recover(self, mode="local")
+        if self.sink is not None:
+            self.sink.recover(self, "local", self.journal.events)
         return n
 
     def recover_global(self, striper) -> Generator[Event, None, int]:
@@ -406,6 +328,6 @@ class DecoupledClient:
         recovered.restore(scan.events)
         self.journal = recovered
         self.stats.counter("recoveries").incr()
-        if self.recorder is not None:
-            self.recorder.record_client_recover(self, mode="global")
+        if self.sink is not None:
+            self.sink.recover(self, "global", self.journal.events)
         return len(recovered)

@@ -17,7 +17,7 @@ Every daemon and client shares one :class:`~repro.sim.engine.Engine`.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, Iterator, List, Optional, Tuple
 
 from repro import calibration as cal
 from repro.client.client import Client
@@ -27,6 +27,7 @@ from repro.mon.monitor import Monitor
 from repro.rados.cluster import ObjectStore
 from repro.sim.engine import Engine
 from repro.sim.network import Network
+from repro.sink import Sink
 
 __all__ = ["Cluster"]
 
@@ -85,7 +86,6 @@ class Cluster:
         for rank, mds in enumerate(self.mds_list):
             self.mon.subscribe(mds.name)
             mds.policy_resolver = self.mon.resolve
-            mds.subtree_resolver = self.mon.subtree_entry
             mds.rank = rank
             if num_mds > 1:
                 mds.authority_resolver = self.mon.authority_of
@@ -93,13 +93,10 @@ class Cluster:
             self.mon.subscribe(osd.name)
         self._clients: List[Client] = []
         self._dclients: List[DecoupledClient] = []
-        #: Conformance history recorder (set by
-        #: ``repro.conformance.HistoryRecorder.attach``); propagated to
-        #: clients created after attachment.
-        self.recorder = None
-        #: Observability (set by ``repro.obs.Observability.attach``);
-        #: propagated to clients created after attachment.
-        self.obs = None
+        #: The :class:`~repro.sink.Sink` every daemon emits records to
+        #: (its ``subscribers`` are what :meth:`attach` attached, in
+        #: order); None while nothing is attached.
+        self.sink: Optional[Sink] = None
 
     @staticmethod
     def _rank_config(cfg: MDSConfig, rank: int) -> MDSConfig:
@@ -137,6 +134,41 @@ class Cluster:
         """The MDS authoritative for ``path`` (nearest assigned ancestor)."""
         return self.mds_list[self.mon.authority_of(path)]
 
+    # -- instrumentation ----------------------------------------------------
+    def attach(self, subscriber) -> None:
+        """Subscribe ``subscriber`` to every daemon's records (see
+        :mod:`repro.sink`); clients created later inherit the sink.  Any
+        number of subscribers, attached and detached in any order."""
+        subscribers = self.subscribers
+        if any(s is subscriber for s in subscribers):
+            raise RuntimeError(f"{subscriber!r} is already attached")
+        self._rewire(subscribers + (subscriber,))
+
+    def detach(self, subscriber) -> None:
+        """Unsubscribe ``subscriber`` (a no-op when it is not attached)."""
+        kept = tuple(s for s in self.subscribers if s is not subscriber)
+        if len(kept) != len(self.subscribers):
+            self._rewire(kept)
+
+    @property
+    def subscribers(self) -> Tuple[Any, ...]:
+        """The attached subscribers, in attach order."""
+        return self.sink.subscribers if self.sink is not None else ()
+
+    def _rewire(self, subscribers: Tuple[Any, ...]) -> None:
+        sink = Sink(subscribers) if subscribers else None
+        for daemon in self._daemons():
+            daemon.sink = sink
+
+    def _daemons(self) -> Iterator[Any]:
+        yield self
+        for mds in self.mds_list:
+            yield mds
+            yield mds.journal
+        yield from self.objstore.osds
+        yield from self._clients
+        yield from self._dclients
+
     # -- client factories ---------------------------------------------------
     def new_client(self, retry=None) -> Client:
         client = Client(
@@ -146,10 +178,7 @@ class Cluster:
             router=self.mds_for if len(self.mds_list) > 1 else None,
             retry=retry,
         )
-        if self.recorder is not None:
-            client.recorder = self.recorder
-        if self.obs is not None:
-            client.obs = self.obs
+        client.sink = self.sink
         self._clients.append(client)
         return client
 
@@ -162,10 +191,7 @@ class Cluster:
             persist_each=persist_each,
             persist_backend=persist_backend,
         )
-        if self.recorder is not None:
-            client.recorder = self.recorder
-        if self.obs is not None:
-            client.obs = self.obs
+        client.sink = self.sink
         self._dclients.append(client)
         return client
 

@@ -106,6 +106,31 @@ def _crash_recover(cluster, target: str, mode: str,
     cluster.run()
 
 
+def _attach(cluster, with_obs: bool):
+    """The history recorder, plus observability beside it when asked."""
+    recorder = HistoryRecorder.attach(cluster)
+    obs = None
+    if with_obs:
+        from repro.obs import Observability
+
+        obs = Observability(cluster).attach()
+    return recorder, obs
+
+
+def _result(verdict: Dict, recorder, obs) -> Dict:
+    """A cell's output: verdict, canonical history, obs summary."""
+    result = {"verdict": verdict, "history": recorder.history.canonical()}
+    if obs is not None:
+        from repro.obs.report import breakdown_rows
+
+        result["obs"] = {
+            "breakdown": breakdown_rows(obs.hub),
+            "span_count": len(obs.tracer.spans),
+            "metric_count": len(obs.hub),
+        }
+    return result
+
+
 def run_cell(task: Tuple) -> Dict:
     """Run one (consistency, durability, seed[, obs[, migrate]])
     scenario; returns a dict with the checker ``verdict`` and the
@@ -131,14 +156,7 @@ def run_cell(task: Tuple) -> Dict:
     )
     if migrate:
         cluster.assign_subtree_mds(SUBTREE, 0)
-    recorder = HistoryRecorder.attach(cluster)
-    obs = None
-    if with_obs:
-        # Attach after the recorder so the object-store hook chains;
-        # detach (below) before the recorder for the same reason.
-        from repro.obs import Observability
-
-        obs = Observability(cluster).attach()
+    recorder, obs = _attach(cluster, with_obs)
     try:
         cudele = Cudele(cluster)
         boot = cluster.new_client()
@@ -190,16 +208,7 @@ def run_cell(task: Tuple) -> Dict:
             subtree=SUBTREE, owner=owner,
         )
         verdict["seed"] = seed
-        result = {"verdict": verdict, "history": recorder.history.canonical()}
-        if obs is not None:
-            from repro.obs.report import breakdown_rows
-
-            result["obs"] = {
-                "breakdown": breakdown_rows(obs.hub),
-                "span_count": len(obs.tracer.spans),
-                "metric_count": len(obs.hub),
-            }
-        return result
+        return _result(verdict, recorder, obs)
     finally:
         if obs is not None:
             obs.detach()
@@ -222,12 +231,7 @@ def run_corruption_cell(task: Tuple) -> Dict:
     cluster = Cluster(
         seed=seed, mds_config=MDSConfig(segment_events=SEGMENT_EVENTS)
     )
-    recorder = HistoryRecorder.attach(cluster)
-    obs = None
-    if with_obs:
-        from repro.obs import Observability
-
-        obs = Observability(cluster).attach()
+    recorder, obs = _attach(cluster, with_obs)
     try:
         cudele = Cudele(cluster)
         boot = cluster.new_client()
@@ -264,16 +268,7 @@ def run_corruption_cell(task: Tuple) -> Dict:
         )
         verdict["seed"] = seed
         verdict["fault_mode"] = mode
-        result = {"verdict": verdict, "history": recorder.history.canonical()}
-        if obs is not None:
-            from repro.obs.report import breakdown_rows
-
-            result["obs"] = {
-                "breakdown": breakdown_rows(obs.hub),
-                "span_count": len(obs.tracer.spans),
-                "metric_count": len(obs.hub),
-            }
-        return result
+        return _result(verdict, recorder, obs)
     finally:
         if obs is not None:
             obs.detach()
@@ -290,22 +285,24 @@ def run_corruption_drill(
     one seed; byte-identical across repeats and ``--jobs`` fan-out."""
     tasks = [(d, m, seed, obs) for (d, m) in cells]
     results = parallel_map(run_corruption_cell, tasks, jobs=jobs)
+    return _report(seed, cells, results, obs, drill="corruption")
+
+
+def _report(seed: int, cells, results: List[Dict], obs: bool,
+            drill: Optional[str] = None) -> Dict:
+    """One seed's report over ``cells`` (keyed ``"a/b"``)."""
+    keys = [f"{a}/{b}" for a, b in cells]
     report = {
         "seed": seed,
         "subtree": SUBTREE,
-        "drill": "corruption",
         "ok": all(r["verdict"]["ok"] for r in results),
         "cells": [r["verdict"] for r in results],
-        "histories": {
-            f"{d}/{m}": r["history"]
-            for (d, m), r in zip(cells, results)
-        },
+        "histories": {k: r["history"] for k, r in zip(keys, results)},
     }
+    if drill is not None:
+        report["drill"] = drill
     if obs:
-        report["obs"] = {
-            f"{d}/{m}": r["obs"]
-            for (d, m), r in zip(cells, results)
-        }
+        report["obs"] = {k: r["obs"] for k, r in zip(keys, results)}
     return report
 
 
@@ -319,8 +316,8 @@ def run_matrix(
     """Check every requested cell under one seed; returns the report.
 
     With ``obs=True`` each cell also runs instrumented (metrics + span
-    tracing chained over the history recorder) and the report gains a
-    per-cell ``obs`` section.  Verdicts and histories are identical
+    tracing, a second subscriber beside the history recorder) and the
+    report gains a per-cell ``obs`` section.  Verdicts and histories are identical
     either way — observation is pure host-side bookkeeping.
 
     With ``migrate=True`` every cell runs on a two-rank cluster with
@@ -329,24 +326,8 @@ def run_matrix(
     """
     tasks = [(c, d, seed, obs, migrate) for (c, d) in cells]
     results = parallel_map(run_cell, tasks, jobs=jobs)
-    report = {
-        "seed": seed,
-        "subtree": SUBTREE,
-        "ok": all(r["verdict"]["ok"] for r in results),
-        "cells": [r["verdict"] for r in results],
-        "histories": {
-            f"{c}/{d}": r["history"]
-            for (c, d), r in zip(cells, results)
-        },
-    }
-    if migrate:
-        report["drill"] = "migrate"
-    if obs:
-        report["obs"] = {
-            f"{c}/{d}": r["obs"]
-            for (c, d), r in zip(cells, results)
-        }
-    return report
+    return _report(seed, cells, results, obs,
+                   drill="migrate" if migrate else None)
 
 
 def report_json(report: Dict, with_histories: bool = False) -> str:

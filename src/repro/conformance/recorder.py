@@ -1,23 +1,25 @@
-"""History recording: lightweight hooks over a live cluster.
+"""History recording: a record subscriber over a live cluster.
 
-``HistoryRecorder.attach(cluster)`` wires itself into every component
-that can witness a consistency- or durability-relevant transition:
+``HistoryRecorder.attach(cluster)`` subscribes to the cluster's record
+sink (:mod:`repro.sink`) and turns the records that witness a
+consistency- or durability-relevant transition into history events.
+Every history-event shape lives here:
 
-* clients (``repro.client.client.Client``) and decoupled clients
-  (``repro.client.decoupled.DecoupledClient``) report operation
-  invocations/completions, crashes, recoveries and local persists;
-* the MDS (``repro.mds.server.MetadataServer``) reports the moment a
-  mutation becomes globally visible (its authoritative store changed),
-  merge windows (Volatile Apply) and journal-replay recoveries;
-* the object layer (``repro.rados.objects.RadosObject.on_mutate``)
-  reports bytes landing in the object store, which the recorder
-  interprets into *global* persistence events for client and MDS
-  journals.
+* clients and decoupled clients report operation invocations and
+  completions (``op_begin``/``op_acked``/``op_end``), crashes,
+  recoveries, local persists and persist faults;
+* the MDS reports the moment a mutation becomes globally visible (its
+  authoritative store changed), merge windows (Volatile Apply),
+  journal-replay recoveries and live-migration phases; its journal
+  reports what it logs and what a migration lifts out of it;
+* the OSDs report bytes landing in an object (``object_write``), which
+  the recorder interprets into *global* persistence events for client
+  and MDS journals.
 
-Recording is pure observation: no hook touches the DES engine, so an
-instrumented run is simulation-identical to a bare one.  Only one
-recorder may be attached per process at a time (the object-layer hook
-is a class attribute); :meth:`detach` releases it.
+Recording is pure observation: no record touches the DES engine, so an
+instrumented run is simulation-identical to a bare one.  Any number of
+recorders (on any clusters) may be attached at once, in any order with
+observability; :meth:`detach` unsubscribes.
 """
 
 from __future__ import annotations
@@ -27,12 +29,12 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.conformance.history import History, HistoryEvent
 from repro.journal.events import EventType, JournalEvent
-from repro.rados.objects import RadosObject
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.client.decoupled import DecoupledClient
     from repro.cluster import Cluster
-    from repro.mds.server import MetadataServer, Request
+    from repro.mds.journal import MDSJournal
+    from repro.mds.server import MetadataServer
 
 __all__ = ["HistoryRecorder"]
 
@@ -42,14 +44,13 @@ _JOURNAL_OBJECT = re.compile(r"^(?P<owner>[A-Za-z0-9_]+)\.journal\.[0-9a-f]+$")
 
 
 class HistoryRecorder:
-    """Builds a :class:`~repro.conformance.history.History` from hooks."""
+    """Builds a :class:`~repro.conformance.history.History` from records."""
 
     def __init__(self, cluster: "Cluster"):
         self.cluster = cluster
         self.engine = cluster.engine
         self.history = History()
         self._next_op_id = 1
-        self._attached = False
         #: Highest journal seq already recorded as persisted, per
         #: (owner name, scope) — persists are idempotent snapshots, the
         #: history wants each update persisted once per scope.
@@ -68,63 +69,53 @@ class HistoryRecorder:
     # ------------------------------------------------------------------
     @classmethod
     def attach(cls, cluster: "Cluster") -> "HistoryRecorder":
-        """Create a recorder and hook it into ``cluster``."""
+        """Create a recorder and subscribe it to ``cluster``."""
         recorder = cls(cluster)
-        if RadosObject.on_mutate is not None:
-            raise RuntimeError(
-                "another HistoryRecorder is already attached in this process"
-            )
-        cluster.recorder = recorder
-        for mds in cluster.mds_list:
-            mds.recorder = recorder
-        for client in cluster._clients:
-            client.recorder = recorder
-        for dclient in cluster._dclients:
-            dclient.recorder = recorder
-        RadosObject.on_mutate = recorder._on_object_mutate
-        recorder._attached = True
+        cluster.attach(recorder)
         return recorder
 
     def detach(self) -> None:
-        """Release every hook (idempotent)."""
-        if not self._attached:
-            return
-        self._attached = False
-        RadosObject.on_mutate = None
-        self.cluster.recorder = None
-        for mds in self.cluster.mds_list:
-            mds.recorder = None
-        for client in self.cluster._clients:
-            client.recorder = None
-        for dclient in self.cluster._dclients:
-            dclient.recorder = None
+        """Unsubscribe (idempotent)."""
+        self.cluster.detach(self)
 
     def _emit(self, **kw) -> HistoryEvent:
         return self.history.append(HistoryEvent(t=self.engine.now, **kw))
 
     # ------------------------------------------------------------------
-    # client-side hooks (invocations and completions)
+    # client-side records (invocations and completions)
     # ------------------------------------------------------------------
-    def record_invoke(
-        self,
-        actor: str,
-        op: str,
-        paths: Sequence[str],
-        client_id: int,
-    ) -> List[int]:
-        """One ``invoke`` per affected path; returns their op ids."""
+    def op_begin(self, client, mechanism: str, op: str, path: str,
+                 names) -> Optional[List[int]]:
+        """One ``invoke`` per affected path; the token is their op ids
+        (None for counted-only batches, which the history omits)."""
+        if isinstance(names, int):
+            return None
+        if names is None:
+            paths = [path]
+        else:
+            base = path.rstrip("/")
+            paths = [f"{base}/{name}" for name in names]
         ids = []
-        for path in paths:
+        for p in paths:
             op_id = self._next_op_id
             self._next_op_id += 1
             self._emit(
-                kind="invoke", actor=actor, op=op, path=path,
-                op_id=op_id, client=client_id,
+                kind="invoke", actor=client.name, op=op, path=p,
+                op_id=op_id, client=client.client_id,
             )
             ids.append(op_id)
         return ids
 
-    def record_complete(
+    def op_acked(self, op_ids, client, events) -> None:
+        """Decoupled appends complete: ``events`` aligns seq/ino per op
+        id."""
+        self._complete(client.name, op_ids, True, events=events)
+
+    def op_end(self, op_ids, client, count: int, reply=None) -> None:
+        if reply is not None:
+            self._complete(client.name, op_ids, reply.ok, error=reply.error)
+
+    def _complete(
         self,
         actor: str,
         op_ids: Sequence[int],
@@ -132,11 +123,6 @@ class HistoryRecorder:
         error: Optional[str] = None,
         events: Optional[Sequence[JournalEvent]] = None,
     ) -> None:
-        """Completions for earlier invokes.
-
-        ``events`` (decoupled appends) carries the journal records the
-        acknowledgement covers, aligning seq/ino per op id.
-        """
         for i, op_id in enumerate(op_ids):
             extra = {}
             if events is not None and i < len(events):
@@ -146,20 +132,12 @@ class HistoryRecorder:
                 ok=ok, error=error, **extra,
             )
 
-    @staticmethod
-    def request_paths(request: "Request") -> List[str]:
-        """The full paths one MDS request touches."""
-        if request.names is not None:
-            base = request.path.rstrip("/")
-            return [f"{base}/{name}" for name in request.names]
-        return [request.path]
-
     # ------------------------------------------------------------------
-    # MDS-side hooks (visibility, merges, recovery)
+    # MDS-side records (visibility, merges, journal, migration)
     # ------------------------------------------------------------------
-    def record_visible(
+    def visible(
         self,
-        actor: str,
+        mds: "MetadataServer",
         op: str,
         path: str,
         ino: int = 0,
@@ -167,43 +145,43 @@ class HistoryRecorder:
         target: Optional[str] = None,
     ) -> None:
         self._emit(
-            kind="visible", actor=actor, op=op, path=path,
+            kind="visible", actor=mds.name, op=op, path=path,
             ino=ino or None, client=client_id, target=target,
         )
 
-    def record_merge_begin(self, actor: str, subtree: str, client_id: int,
-                           count: int) -> None:
+    def merge_begin(self, mds: "MetadataServer", subtree: str,
+                    client_id: int, count: int) -> None:
         self._emit(
-            kind="merge_begin", actor=actor, path=subtree, client=client_id,
-            detail={"count": count},
+            kind="merge_begin", actor=mds.name, path=subtree,
+            client=client_id, detail={"count": count},
         )
 
-    def record_merge_end(self, actor: str, subtree: str, client_id: int,
-                         applied: int, conflicts: int) -> None:
+    def merge_end(self, mds: "MetadataServer", subtree: str, client_id: int,
+                  applied: int, conflicts: int) -> None:
         self._emit(
-            kind="merge_end", actor=actor, path=subtree, client=client_id,
+            kind="merge_end", actor=mds.name, path=subtree, client=client_id,
             detail={"applied": applied, "conflicts": conflicts},
         )
 
-    def note_mds_journaled(
-        self, mds: "MetadataServer", events: Sequence[JournalEvent]
+    def journal_log(
+        self, journal: "MDSJournal", events: Sequence[JournalEvent]
     ) -> None:
         """The MDS appended real events to its (segmented) journal; they
         become *globally persisted* when their segment's object write
-        lands (seen via the object-layer hook)."""
-        self._mds_journaled.setdefault(mds.name, []).extend(events)
+        lands (see :meth:`object_write`)."""
+        self._mds_journaled.setdefault(journal.src, []).extend(events)
 
-    def note_mds_export(
-        self, mds: "MetadataServer", removed: Sequence[JournalEvent]
+    def journal_extract(
+        self, journal: "MDSJournal", removed: Sequence[JournalEvent]
     ) -> None:
-        """A subtree migration lifted undispatched events out of
-        ``mds``'s open segment; drop their mirror entries.  Extraction
+        """A subtree migration lifted undispatched events out of the
+        journal's open segment; drop their mirror entries.  Extraction
         only ever touches the open segment, which is the tail of the
         mirrored list — always beyond the persisted prefix, so earlier
         ``persisted`` records never referenced these entries."""
         if not removed:
             return
-        journaled = self._mds_journaled.get(mds.name, [])
+        journaled = self._mds_journaled.get(journal.src, [])
         pending = list(removed)
         idx = len(journaled) - 1
         while pending and idx >= 0:
@@ -221,11 +199,11 @@ class HistoryRecorder:
             idx -= 1
         if pending:
             raise RuntimeError(
-                f"{mds.name}: {len(pending)} exported journal events have "
+                f"{journal.src}: {len(pending)} exported journal events have "
                 "no mirror entry; persist accounting would desynchronize"
             )
 
-    def record_migrate(
+    def migrate_phase(
         self,
         subtree: str,
         src: str,
@@ -245,32 +223,10 @@ class HistoryRecorder:
             detail[k] = v
         self._emit(kind="migrate", actor=src, path=subtree, detail=detail)
 
-    def record_mds_recover(
-        self, mds: "MetadataServer", events: Sequence[JournalEvent]
-    ) -> None:
-        # Replayed events are numbered by journal position (matching the
-        # global-persist records, which index the same log) — MDS-side
-        # JournalEvents carry no client-journal seq of their own.
-        idx = 0
-        for ev in events:
-            if not ev.is_mutation:
-                continue
-            idx += 1
-            self._emit(
-                kind="recovered", actor=mds.name,
-                op=EventType(ev.op).name.lower(), path=ev.path,
-                ino=ev.ino or None, seq=idx, client=ev.client_id,
-                target=ev.target_path,
-            )
-        self._emit(
-            kind="recover", actor=mds.name,
-            detail={"mode": "journal-replay", "restored": len(events)},
-        )
-
     # ------------------------------------------------------------------
     # crash / recovery markers (repro.faults drives these paths)
     # ------------------------------------------------------------------
-    def record_crash(self, actor: str, **detail) -> None:
+    def crash(self, actor: str, **detail) -> None:
         self._emit(kind="crash", actor=actor,
                    detail={k: v for k, v in sorted(detail.items())})
         # An MDS crash drops its open (undispatched) segment: trim the
@@ -282,31 +238,35 @@ class HistoryRecorder:
         if journaled is not None and lost:
             del journaled[max(0, len(journaled) - lost):]
 
-    def record_client_recover(
-        self, dclient: "DecoupledClient", mode: str
-    ) -> None:
-        """A decoupled client finished recovery: its journal now holds
-        exactly what the recovery source gave back."""
-        for ev in dclient.journal.events:
-            self._emit(
-                kind="recovered", actor=dclient.name,
-                op=EventType(ev.op).name.lower(), path=ev.path,
-                ino=ev.ino or None, seq=ev.seq, client=dclient.client_id,
-                target=ev.target_path,
-            )
-        self._emit(
-            kind="recover", actor=dclient.name,
-            detail={"mode": mode, "restored": len(dclient.journal)},
-        )
-
-    def record_recover(self, actor: str, **detail) -> None:
-        self._emit(kind="recover", actor=actor,
-                   detail={k: v for k, v in sorted(detail.items())})
+    def recover(self, daemon, mode: str, events=None) -> None:
+        """A daemon finished recovery.  What it restored is recorded as
+        ``recovered`` events first: a decoupled client's journal by its
+        own seqs; the MDS's journal replay numbered by journal position
+        over mutations (matching the global-persist records, which index
+        the same log — MDS-side events carry no client-journal seq)."""
+        detail = {"mode": mode}
+        if events is not None:
+            replay = mode == "journal-replay"
+            idx = 0
+            for ev in events:
+                if replay:
+                    if not ev.is_mutation:
+                        continue
+                    idx += 1
+                self._emit(
+                    kind="recovered", actor=daemon.name,
+                    op=EventType(ev.op).name.lower(), path=ev.path,
+                    ino=ev.ino or None, seq=idx if replay else ev.seq,
+                    client=ev.client_id if replay else daemon.client_id,
+                    target=ev.target_path,
+                )
+            detail["restored"] = len(events)
+        self._emit(kind="recover", actor=daemon.name, detail=detail)
 
     # ------------------------------------------------------------------
     # persistence
     # ------------------------------------------------------------------
-    def record_local_persist(self, dclient: "DecoupledClient") -> None:
+    def local_persist(self, dclient: "DecoupledClient") -> None:
         """Local Persist landed: journal events up to the current tail
         are now safe on the client's own disk."""
         self._record_journal_persist(dclient, scope="local")
@@ -324,7 +284,7 @@ class HistoryRecorder:
             mark = ev.seq
         self._persist_marks[(dclient.name, scope)] = mark
 
-    def record_persist_fault(
+    def persist_fault(
         self, dclient: "DecoupledClient", scope: str, mode: str, scan
     ) -> None:
         """A persist landed damaged: the on-media image verifies only up
@@ -348,13 +308,13 @@ class HistoryRecorder:
             self._persist_marks[(dclient.name, scope)] = valid_seq
 
     # -- object layer ------------------------------------------------------
-    def _on_object_mutate(self, obj: RadosObject, action: str, nbytes: int) -> None:
-        """Bytes landed in (an OSD's copy of) an object.
+    def object_write(self, osd, obj, action: str, nbytes: int) -> None:
+        """Bytes landed in an OSD's copy of an object.
 
         Journal objects are interpreted into per-update global-persist
         records; everything else is ignored (data-pool traffic carries
-        no metadata semantics).  Replica writes re-fire the hook; the
-        per-owner watermark keeps records unique.
+        no metadata semantics).  Every replica write is a record; the
+        per-owner watermark keeps history events unique.
         """
         match = _JOURNAL_OBJECT.match(obj.name)
         if match is None:

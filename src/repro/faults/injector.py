@@ -171,10 +171,10 @@ class FaultInjector:
     def _persist_fault_notifier(self, dclient, mode: str):
         """Callback the OSD write path fires after storing the corrupted
         object.  Every replica stores the same damaged bytes and fires
-        it; the *last* replica's call scans what landed and reports the
-        surviving valid prefix to the history recorder — after all the
-        replica mutate hooks have emitted their (idempotent) persisted
-        claims, so the fault record lands once, at the end."""
+        it; the *last* replica's call scans what landed and emits the
+        ``persist_fault`` record with the surviving valid prefix — after
+        every replica's ``object_write`` record, so the fault lands
+        once, at the end."""
         calls: List[str] = []
 
         def notify(name: str, stored: bytes) -> None:
@@ -183,15 +183,13 @@ class FaultInjector:
                 self.cluster.objstore.placement("metadata", name)
             ):
                 return
-            recorder = getattr(self.cluster, "recorder", None)
-            if recorder is None:
-                return
-            from repro.journal.format import JournalCodec
+            sink = self.cluster.sink
+            if sink is not None:
+                from repro.journal.format import JournalCodec
 
-            scan = JournalCodec.scan_stream(stored)
-            recorder.record_persist_fault(
-                dclient, scope="global", mode=mode, scan=scan
-            )
+                sink.persist_fault(
+                    dclient, "global", mode, JournalCodec.scan_stream(stored)
+                )
 
         return notify
 

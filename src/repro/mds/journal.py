@@ -49,9 +49,9 @@ class MDSJournal:
         self.dispatch_size = dispatch_size
         self.segment_events = segment_events
         self.src = src
-        #: Observability (see ``repro.obs``); None keeps dispatch
-        #: unobserved (same pattern as the conformance recorder).
-        self.obs = None
+        #: Record sink (see :mod:`repro.sink`); None keeps logging and
+        #: dispatch unobserved.
+        self.sink = None
         self._journaler = Journaler(
             engine, striper, segment_events=segment_events, src=src
         )
@@ -92,6 +92,8 @@ class MDSJournal:
         if not self.enabled:
             return
         if events is not None:
+            if self.sink is not None:
+                self.sink.journal_log(self, events)
             for ev in events:
                 _, full = self._journaler.append(ev)
                 self.events_logged += 1
@@ -112,69 +114,41 @@ class MDSJournal:
     def _dispatch_real(self) -> Generator[Event, None, None]:
         segment = self._journaler.take_segment()
         yield from self._acquire_slot()
-        self.segments_in_flight += 1
-        self._track(
-            self.engine.process(self._flush_real(segment), name="mds-journal-flush")
-        )
-
-    def _flush_real(self, segment) -> Generator[Event, None, None]:
-        obs = self.obs
-        span = None
-        if obs is not None:
-            span = obs.tracer.start(
-                "journal.dispatch", daemon=self.src, mechanism="stream"
-            )
-        try:
-            yield self.engine.process(self._journaler.dispatch_segment(segment))
-        finally:
-            self.segments_in_flight -= 1
-            self._window.release()
-            if span is not None:
-                obs.tracer.end(span)
-                self._note_dispatch(obs, span)
+        self._start_flush(self._journaler.dispatch_segment(segment), False)
 
     def _dispatch_counted(self, n: int) -> Generator[Event, None, None]:
         yield from self._acquire_slot()
-        self.segments_in_flight += 1
-        self._track(
-            self.engine.process(self._flush_counted(n), name="mds-journal-flush")
+        # One placeholder byte carries the full simulated wire cost.
+        write = self._journaler.striper.append(
+            b"\x00",
+            src=self._journaler.src,
+            charge_factor=float(n * WIRE_EVENT_BYTES),
         )
+        self._start_flush(write, True)
 
-    def _track(self, proc) -> None:
+    def _start_flush(self, write: Generator, counted: bool) -> None:
+        self.segments_in_flight += 1
         self._inflight = [p for p in self._inflight if not p.triggered]
-        self._inflight.append(proc)
+        self._inflight.append(self.engine.process(
+            self._flush(write, counted), name="mds-journal-flush"
+        ))
 
-    def _flush_counted(self, n: int) -> Generator[Event, None, None]:
-        obs = self.obs
-        span = None
-        if obs is not None:
-            span = obs.tracer.start(
-                "journal.dispatch", daemon=self.src, mechanism="stream"
-            )
+    def _flush(self, write: Generator, counted: bool) -> Generator[Event, None, None]:
+        """One in-flight segment write (process body); a counted segment
+        is tallied here, a real one by the journaler."""
+        sink = self.sink
+        token = None
+        if sink is not None:
+            token = sink.dispatch_begin(self)
         try:
-            # One placeholder byte carries the full simulated wire cost.
-            yield self.engine.process(
-                self._journaler.striper.append(
-                    b"\x00",
-                    src=self._journaler.src,
-                    charge_factor=float(n * WIRE_EVENT_BYTES),
-                )
-            )
-            self._journaler.segments_dispatched += 1
+            yield self.engine.process(write)
+            if counted:
+                self._journaler.segments_dispatched += 1
         finally:
             self.segments_in_flight -= 1
             self._window.release()
-            if span is not None:
-                obs.tracer.end(span)
-                self._note_dispatch(obs, span)
-
-    def _note_dispatch(self, obs, span) -> None:
-        obs.hub.histogram(
-            "dispatch_latency_s", daemon=self.src, mechanism="stream"
-        ).observe(span.duration_s)
-        obs.hub.counter(
-            "segments_dispatched", daemon=self.src, mechanism="stream"
-        ).incr()
+            if sink is not None:
+                sink.dispatch_end(token, self)
 
     def flush(self) -> Generator[Event, None, None]:
         """Flush any partial segment and wait for every in-flight
@@ -232,6 +206,8 @@ class MDSJournal:
 
         removed = self._journaler.extract_open(_touches)
         self.events_logged -= len(removed)
+        if self.sink is not None:
+            self.sink.journal_extract(self, removed)
         return removed
 
     @property

@@ -52,7 +52,7 @@ from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 from repro import calibration as cal
 from repro.journal.events import EventType, JournalEvent, WIRE_EVENT_BYTES
 from repro.mds.mdstore import FsError
-from repro.mds.server import MDSDownError, MetadataServer, Request
+from repro.mds.server import MDSDownError, Request
 from repro.sim.engine import Event
 from repro.sim.network import PartitionError
 
@@ -126,19 +126,6 @@ def _synthesize_rows(
     return events
 
 
-def _journal_marked(
-    mds: MetadataServer, events: List[JournalEvent], recorder
-) -> Generator[Event, None, None]:
-    """Journal ``events`` at ``mds`` with the recorder's mirror kept in
-    step (the persist-accounting invariant: every ``log_events`` call is
-    paired with ``note_mds_journaled``)."""
-    if not events or not mds.journal.enabled:
-        return
-    if recorder is not None:
-        recorder.note_mds_journaled(mds, events)
-    yield from mds.journal.log_events(events=events)
-
-
 def migrate_subtree(
     cluster,
     subtree: str,
@@ -161,8 +148,7 @@ def migrate_subtree(
         raise ValueError(f"no MDS rank {dst_rank}")
     src = cluster.mds_for(subtree)
     dst = cluster.mds_list[dst_rank]
-    rec = cluster.recorder
-    obs = cluster.obs
+    sink = cluster.sink
     result = MigrationResult(
         subtree=subtree, src=src.name, dst=dst.name, status="noop"
     )
@@ -173,42 +159,20 @@ def migrate_subtree(
             "subtree migration requires materialized metadata stores"
         )
 
-    span = None
-    if obs is not None:
-        span = obs.tracer.start(
-            "mds.migrate", daemon=src.name, mechanism="migrate",
-            subtree=subtree, dst=dst.name,
-        )
+    token = None
+    if sink is not None:
+        token = sink.migrate_begin(src, dst, subtree)
 
     def _finish(status: str, reason: str = "") -> MigrationResult:
         result.status = status
         result.reason = reason
-        if obs is not None:
-            obs.tracer.end(span)
-            obs.hub.counter(
-                "mds.migrate.count", daemon=src.name, mechanism="migrate",
-                status=status,
-            ).incr()
-            obs.hub.histogram(
-                "migrate_latency_s", daemon=src.name, mechanism="migrate",
-            ).observe(span.duration_s)
-            if status == "done":
-                obs.hub.histogram(
-                    "mds.migrate.frozen_s", daemon=src.name,
-                    mechanism="migrate",
-                ).observe(result.frozen_s)
-                obs.hub.histogram(
-                    "mds.migrate.rows", daemon=src.name, mechanism="migrate",
-                ).observe(float(result.rows))
-                obs.hub.histogram(
-                    "mds.migrate.moved_events", daemon=src.name,
-                    mechanism="migrate",
-                ).observe(float(result.moved_events))
+        if sink is not None:
+            sink.migrate_end(token, src, result)
         return result
 
     def _abort(reason: str) -> MigrationResult:
-        if rec is not None:
-            rec.record_migrate(
+        if sink is not None:
+            sink.migrate_phase(
                 subtree, src.name, dst.name, "abort",
                 cluster.mon.mds_epoch, reason=reason,
             )
@@ -226,8 +190,8 @@ def migrate_subtree(
         return _finish("aborted", f"prep-refused: {resp.error}")
     freeze_start = cluster.engine.now
     result.timings["prep_s"] = freeze_start - t0
-    if rec is not None:
-        rec.record_migrate(
+    if sink is not None:
+        sink.migrate_phase(
             subtree, src.name, dst.name, "begin", cluster.mon.mds_epoch
         )
 
@@ -257,8 +221,6 @@ def migrate_subtree(
     # them consumed on import).
     ino_floor = src.mdstore.inotable.next_free
     moved = src.journal.extract_open(subtree)
-    if rec is not None:
-        rec.note_mds_export(src, moved)
     result.rows = len(rows)
     result.caps = len(caps_bundle)
     result.ino_ranges = len(ino_bundle["ranges"]) if ino_bundle else 0
@@ -285,7 +247,7 @@ def migrate_subtree(
     except PartitionError:
         if src.up:
             _reinstall_src()
-            yield from _journal_marked(src, moved, rec)
+            yield from src.journal.log_events(events=moved)
             src.unfreeze_subtree(subtree)
         return _abort("partitioned-in-transfer")
 
@@ -295,7 +257,7 @@ def migrate_subtree(
     if not dst.up:
         if src.up:
             _reinstall_src()
-            yield from _journal_marked(src, moved, rec)
+            yield from src.journal.log_events(events=moved)
             src.unfreeze_subtree(subtree)
         return _abort("dst-crashed-before-import")
     if ino_bundle is not None:
@@ -310,7 +272,7 @@ def migrate_subtree(
         JournalEvent(EventType.IMPORT_COMMIT, subtree, ino=ino_floor,
                      mtime=dst.engine.now)
     ]
-    yield from _journal_marked(dst, import_events, rec)
+    yield from dst.journal.log_events(events=import_events)
 
     # -- phase 4: IMPORT_ACK + authority flip ----------------------------
     if phase_hook is not None:
@@ -322,7 +284,7 @@ def migrate_subtree(
         # and is rebuilt foreign on its recovery).
         if src.up:
             _reinstall_src()
-            yield from _journal_marked(src, moved, rec)
+            yield from src.journal.log_events(events=moved)
             src.unfreeze_subtree(subtree)
         return _abort("dst-crashed-before-flip")
     try:
@@ -334,8 +296,8 @@ def migrate_subtree(
     result.frozen_s = cluster.engine.now - freeze_start
     # The flip is the linearization point: record the commit here, so
     # the checkers judge any later crash against the new authority.
-    if rec is not None:
-        rec.record_migrate(
+    if sink is not None:
+        sink.migrate_phase(
             subtree, src.name, dst.name, "commit", epoch,
             rows=result.rows, moved=result.moved_events,
         )
@@ -344,12 +306,9 @@ def migrate_subtree(
     if phase_hook is not None:
         phase_hook("commit")
     if src.up:
-        yield from _journal_marked(
-            src,
-            [JournalEvent(EventType.EXPORT_COMMIT, subtree,
-                          mtime=src.engine.now)],
-            rec,
-        )
+        yield from src.journal.log_events(events=[
+            JournalEvent(EventType.EXPORT_COMMIT, subtree, mtime=src.engine.now)
+        ])
         src.unfreeze_subtree(subtree)
     return _finish("done")
 
@@ -357,8 +316,8 @@ def migrate_subtree(
 class HotspotDetector:
     """Propose migrations from the ``subtree_ops`` per-subtree counters.
 
-    The MDS serve loop (behind its single ``obs is not None`` branch)
-    counts handled ops per governing subtree; the detector aggregates
+    The attached :class:`~repro.obs.Observability` counts the ops each
+    MDS handles per governing subtree; the detector aggregates
     those counters per rank and proposes moving the hottest subtree of
     the busiest rank to the least-loaded rank.  Pure host-side reading
     — no engine events — and fully deterministic (sorted iteration,
@@ -374,7 +333,10 @@ class HotspotDetector:
             rank: 0 for rank in range(len(self.cluster.mds_list))
         }
         per_subtree: Dict[Tuple[int, str], int] = {}
-        obs = self.cluster.obs
+        from repro.obs.core import Observability
+
+        obs = next((s for s in self.cluster.subscribers
+                    if isinstance(s, Observability)), None)
         if obs is None:
             return per_rank, per_subtree
         names = {mds.name: rank

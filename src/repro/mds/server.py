@@ -160,10 +160,6 @@ class MetadataServer:
         #: Resolves a path to the governing subtree policy (wired by the
         #: Cudele namespace API); returns None for plain POSIX subtrees.
         self.policy_resolver: Optional[Callable[[str], Any]] = None
-        #: Resolves a path to its ``(subtree_root, policy)`` map entry;
-        #: consulted only inside the ``obs is not None`` branch to label
-        #: per-subtree op counters (hotspot detection, repro.mds.migrate).
-        self.subtree_resolver: Optional[Callable[[str], Any]] = None
         #: Synthetic per-directory entry counts for non-materialized runs.
         self._synthetic_sizes: Dict[int, int] = {}
         #: Files currently open for writing: path -> (client_id, size_getter).
@@ -171,11 +167,9 @@ class MetadataServer:
         #: buffering capability); recalls consult it (paper §II-B).
         self._open_writers: Dict[str, tuple] = {}
         self._cpu_util = self.stats.utilization("cpu", capacity=1.0)
-        #: Conformance history recorder (see ``repro.conformance``);
-        #: None keeps the request loop unobserved.
-        self.recorder = None
-        #: Observability (see ``repro.obs``); same None-guarded pattern.
-        self.obs = None
+        #: Record sink (see :mod:`repro.sink`); None keeps the request
+        #: loop unobserved.
+        self.sink = None
         self._loop = engine.process(self._serve_loop(), name=f"{name}.loop")
         self.running = True
         self.up = True
@@ -199,11 +193,8 @@ class MetadataServer:
         if not self.up:
             done.fail(MDSDownError(f"{self.name} is down"))
             return done
-        obs = self.obs
-        if obs is not None and request.span is None:
-            # Stamp the submitter's span onto the request — trace context
-            # in the RPC header, carried across the queue hop.
-            request.span = obs.tracer.current()
+        if self.sink is not None:
+            self.sink.mds_submit(self, request)
         self._queue.put((request, done))
         return done
 
@@ -231,13 +222,10 @@ class MetadataServer:
                     return
                 self._current = (request, done)
                 self._cpu_util.set_level(1.0)
-                obs = self.obs
-                span = None
-                if obs is not None:
-                    span = obs.tracer.start(
-                        "mds.handle", daemon=self.name, mechanism="rpc",
-                        parent=request.span, op=request.op,
-                    )
+                sink = self.sink
+                token = None
+                if sink is not None:
+                    token = sink.handle_begin(self, request)
                 try:
                     response, commit_latency = yield from self._handle(request)
                 except Interrupt:  # crash mid-request; crash() failed done
@@ -249,25 +237,8 @@ class MetadataServer:
                     )
                 finally:
                     self._cpu_util.set_level(0.0)
-                    if span is not None:
-                        obs.tracer.end(span)
-                        obs.hub.histogram(
-                            "handle_latency_s", daemon=self.name,
-                            mechanism="rpc", op=request.op,
-                            policy=obs.mds_policy_tag(self, request.path),
-                        ).observe(span.duration_s)
-                        obs.hub.counter(
-                            "requests", daemon=self.name, mechanism="rpc",
-                            op=request.op,
-                        ).incr(request.count)
-                        entry = (
-                            self.subtree_resolver(request.path)
-                            if self.subtree_resolver is not None else None
-                        )
-                        obs.hub.counter(
-                            "subtree_ops", daemon=self.name, mechanism="rpc",
-                            subtree=entry[0] if entry is not None else "/",
-                        ).incr(request.count)
+                    if sink is not None:
+                        sink.handle_end(token, self, request)
                 self._current = None
                 if not self.up:
                     # Crashed while the handler was unwinding: the reply
@@ -345,38 +316,32 @@ class MetadataServer:
         self._synthetic_sizes.clear()
         self._cpu_util.set_level(0.0)
         self.stats.counter("requests_failed").incr(failed)
-        if self.recorder is not None:
-            self.recorder.record_crash(
+        if self.sink is not None:
+            self.sink.crash(
                 self.name, journal_events_lost=lost_open,
                 requests_failed=failed,
             )
         return {"journal_events_lost": lost_open, "requests_failed": failed}
 
-    def _recover_scan(self) -> Generator[Event, None, list]:
-        """Read the streamed journal back through the verifying scan
-        (process body); instrumented like the client's recovery scan
-        when observability is attached.  Returns the salvaged events —
-        the checksummed-valid prefix of what is in the object store."""
-        obs = self.obs
-        span = None
-        if obs is not None:
-            span = obs.tracer.start(
-                "recover.scan", daemon=self.name, mechanism="recovery",
-                source="mds-journal",
-            )
+    def _replay_journal(self) -> Generator[Event, None, int]:
+        """Read the streamed journal back through the verifying scan and
+        replay what it salvages — the checksummed-valid prefix of what is
+        in the object store — onto the store (process body).  Returns
+        events replayed."""
+        sink = self.sink
+        token = None
+        if sink is not None:
+            token = sink.scan_begin(self.name, "mds-journal")
         scan = yield self.engine.process(self.journal.read_scan(dst=self.name))
-        if span is not None:
-            obs.tracer.end(span)
-            obs.hub.histogram(
-                "recovery_scan_events", daemon=self.name,
-                mechanism="recovery", source="mds-journal",
-            ).observe(len(scan.events))
-            if scan.damage is not None:
-                obs.hub.counter(
-                    "recovery_scan_damage", daemon=self.name,
-                    mechanism="recovery", damage=scan.damage,
-                ).incr()
-        return scan.events
+        if sink is not None:
+            sink.scan_end(token, self.name, "mds-journal", scan)
+        events = scan.events
+        yield from self._cpu(len(events) * cal.VOLATILE_APPLY_S)
+        if self.config.materialize:
+            JournalTool.apply(events, self.mdstore, skip_errors=True)
+        if self.sink is not None:
+            self.sink.recover(self, "journal-replay", events)
+        return len(events)
 
     def recover(self) -> Generator[Event, None, int]:
         """Crash recovery from durable state only (process body).
@@ -399,10 +364,7 @@ class MetadataServer:
                     self.mdstore.inotable.reserve_floor(self.config.ino_base)
             except Exception:
                 self.mdstore = self._fresh_store()
-        events = yield from self._recover_scan()
-        yield from self._cpu(len(events) * cal.VOLATILE_APPLY_S)
-        if self.config.materialize:
-            JournalTool.apply(events, self.mdstore, skip_errors=True)
+        replayed = yield from self._replay_journal()
         self.up = True
         self._queue = Store(self.engine, name=f"{self.name}.queue")
         self._loop = self.engine.process(
@@ -410,9 +372,7 @@ class MetadataServer:
         )
         self.running = True
         self.stats.counter("recoveries").incr()
-        if self.recorder is not None:
-            self.recorder.record_mds_recover(self, events)
-        return len(events)
+        return replayed
 
     def _maybe_auto_checkpoint(self) -> None:
         every = self.config.checkpoint_every_segments
@@ -451,19 +411,14 @@ class MetadataServer:
         """MDS restart: re-read the journal from the object store and
         replay it onto the in-memory store (Nonvolatile Apply's second
         half; also the recovery path).  Returns events replayed."""
-        events = yield from self._recover_scan()
-        yield from self._cpu(len(events) * cal.VOLATILE_APPLY_S)
-        if self.config.materialize:
-            JournalTool.apply(events, self.mdstore, skip_errors=True)
-        if self.recorder is not None:
-            self.recorder.record_mds_recover(self, events)
+        replayed = yield from self._replay_journal()
         self.up = True
         if not self.running:
             self._loop = self.engine.process(
                 self._serve_loop(), name=f"{self.name}.loop"
             )
             self.running = True
-        return len(events)
+        return replayed
 
     # ------------------------------------------------------------------
     # cost helpers
@@ -592,13 +547,10 @@ class MetadataServer:
         yield from self._cpu(cpu)
 
         created, errors = [], []
-        rec = self.recorder
-        obs = self.obs
-        apply_span = None
-        if obs is not None:
-            apply_span = obs.tracer.start(
-                "mds.apply", daemon=self.name, mechanism="volatile_apply",
-            )
+        sink = self.sink
+        token = None
+        if sink is not None:
+            token = sink.apply_begin(self)
         events: Optional[List[JournalEvent]] = None
         if self.config.materialize and request.names is not None:
             events = []
@@ -625,9 +577,9 @@ class MetadataServer:
                             client_id=request.client_id,
                         )
                     )
-                    if rec is not None:
-                        rec.record_visible(
-                            self.name, op.name.lower(), path,
+                    if sink is not None:
+                        sink.visible(
+                            self, op.name.lower(), path,
                             ino=inode.ino if inode else 0,
                             client_id=request.client_id,
                         )
@@ -637,32 +589,17 @@ class MetadataServer:
             self._synthetic_sizes[dir_ino] = (
                 self._synthetic_sizes.get(dir_ino, 0) + request.count
             )
-        if apply_span is not None:
-            obs.tracer.end(apply_span)
-            obs.hub.counter(
-                "applied_events", daemon=self.name,
-                mechanism="volatile_apply",
-            ).incr(request.count)
-
-        journal_span = None
-        if obs is not None:
-            journal_span = obs.tracer.start(
-                "mds.journal.append", daemon=self.name, mechanism="stream",
-            )
+        if sink is not None:
+            sink.apply_end(token, self, request.count)
+            token = sink.journal_begin(self)
         try:
             if events is not None:
-                if rec is not None and self.journal.enabled:
-                    rec.note_mds_journaled(self, events)
                 yield from self.journal.log_events(events=events)
             else:
                 yield from self.journal.log_events(count=request.count)
         finally:
-            if journal_span is not None:
-                obs.tracer.end(journal_span)
-                obs.hub.histogram(
-                    "journal_append_latency_s", daemon=self.name,
-                    mechanism="stream",
-                ).observe(journal_span.duration_s)
+            if sink is not None:
+                sink.journal_end(token, self)
 
         latency = request.count * self.journal.commit_latency_s()
         ok = not errors
@@ -697,13 +634,10 @@ class MetadataServer:
                    if k in ("mode", "uid", "gid")},
             )
         ]
-        if self.recorder is not None:
-            self.recorder.record_visible(
-                self.name, "setattr", request.path,
-                client_id=request.client_id,
+        if self.sink is not None:
+            self.sink.visible(
+                self, "setattr", request.path, client_id=request.client_id
             )
-            if self.journal.enabled:
-                self.recorder.note_mds_journaled(self, events)
         yield from self.journal.log_events(events=events)
         return Response(ok=True), self.journal.commit_latency_s()
 
@@ -724,13 +658,11 @@ class MetadataServer:
                 client_id=request.client_id,
             )
         ]
-        if self.recorder is not None:
-            self.recorder.record_visible(
-                self.name, "rename", request.path,
+        if self.sink is not None:
+            self.sink.visible(
+                self, "rename", request.path,
                 client_id=request.client_id, target=request.payload,
             )
-            if self.journal.enabled:
-                self.recorder.note_mds_journaled(self, events)
         yield from self.journal.log_events(events=events)
         return Response(ok=True), self.journal.commit_latency_s()
 
@@ -777,8 +709,6 @@ class MetadataServer:
                     mtime=self.engine.now, client_id=request.client_id,
                 )
             ]
-            if self.recorder is not None and self.journal.enabled:
-                self.recorder.note_mds_journaled(self, events)
             yield from self.journal.log_events(events=events)
         return Response(ok=True, value=size), self.journal.commit_latency_s()
 
@@ -893,8 +823,6 @@ class MetadataServer:
         events = [
             JournalEvent(EventType.EXPORT_PREP, path, mtime=self.engine.now)
         ]
-        if self.recorder is not None and self.journal.enabled:
-            self.recorder.note_mds_journaled(self, events)
         yield from self.journal.log_events(events=events)
         return Response(ok=True), self.journal.commit_latency_s()
 
@@ -924,11 +852,9 @@ class MetadataServer:
             events = list(payload)
             n = len(events)
         yield from self._cpu(n * cal.VOLATILE_APPLY_S)
-        rec = self.recorder
-        if rec is not None:
-            rec.record_merge_begin(
-                self.name, request.path, request.client_id, count=n
-            )
+        sink = self.sink
+        if sink is not None:
+            sink.merge_begin(self, request.path, request.client_id, n)
         applied = n
         conflicts = 0
         if events is None or not self.config.materialize:
@@ -951,19 +877,18 @@ class MetadataServer:
                         owner = self.mdstore.inotable.owner_of(ev.ino)
                         if owner is not None and not self.mdstore.inotable.is_consumed(ev.ino):
                             self.mdstore.inotable.mark_consumed(ev.ino)
-                    if rec is not None:
-                        rec.record_visible(
-                            self.name, EventType(ev.op).name.lower(), ev.path,
+                    if sink is not None:
+                        sink.visible(
+                            self, EventType(ev.op).name.lower(), ev.path,
                             ino=ev.ino, client_id=ev.client_id,
                             target=ev.target_path,
                         )
                 except FsError:
                     conflicts += 1
         self.stats.counter("merged_events").incr(n)
-        if rec is not None:
-            rec.record_merge_end(
-                self.name, request.path, request.client_id,
-                applied=applied, conflicts=conflicts,
+        if sink is not None:
+            sink.merge_end(
+                self, request.path, request.client_id, applied, conflicts
             )
         return Response(ok=True, value={"applied": applied, "conflicts": conflicts}), 0.0
 

@@ -1,6 +1,6 @@
 """Event loop, events and generator-based processes.
 
-The engine implements a classic priority-queue DES.  Simulated processes
+The engine implements a classic event-heap DES.  Simulated processes
 are Python generators that yield :class:`Event` objects; the engine
 resumes a process when the event it is waiting on fires.  Event values
 are sent back into the generator, and failed events raise inside it, so
@@ -13,14 +13,14 @@ simulated code reads like straight-line blocking code::
 
 Design notes
 ------------
-* The heap is keyed by ``(time, priority, seq)``; ``seq`` is a monotone
+* The heap is keyed by ``(time, seq)``; ``seq`` is a monotone
   tie-breaker which makes runs fully deterministic.
 * Zero-delay events take a heap-free fast path: when nothing already on
   the heap is due at the current instant, a newly-triggered immediate
   event is appended to a FIFO "now" queue that the loop drains before
   popping the heap.  Because a new event always carries the largest
   sequence number, FIFO draining yields exactly the order the
-  ``(time, priority, seq)`` heap would have produced — the contract is
+  ``(time, seq)`` heap would have produced — the contract is
   preserved, the ``heappush``/``heappop`` round trip is not paid (see
   docs/PERFORMANCE.md).
 * Events may have multiple waiters (processes and derived events), each
@@ -66,9 +66,6 @@ class Interrupt(Exception):
 _PENDING = 0
 _TRIGGERED = 1  # scheduled on the heap, callbacks not yet run
 _PROCESSED = 2  # callbacks have run
-
-#: Default scheduling priority; lower values run first at equal times.
-_DEFAULT_PRIORITY = 1
 
 
 class Event:
@@ -142,14 +139,10 @@ class Event:
         # through it), so the zero-delay case avoids the extra frame.
         if delay == 0.0:
             heap = engine._heap
-            if not heap or heap[0][0] > engine._now or (
-                heap[0][0] == engine._now and heap[0][1] > _DEFAULT_PRIORITY
-            ):
+            if not heap or heap[0][0] > engine._now:
                 engine._now_queue.append(self)
                 return self
-            heapq.heappush(
-                heap, (engine._now, _DEFAULT_PRIORITY, next(engine._seq), self)
-            )
+            heapq.heappush(heap, (engine._now, next(engine._seq), self))
             return self
         engine._schedule(self, delay)
         return self
@@ -443,11 +436,11 @@ class Engine:
 
     def __init__(self):
         self._now = 0.0
-        self._heap: list[tuple[float, int, int, Event]] = []
+        self._heap: list[tuple[float, int, Event]] = []
         #: FIFO of already-due events (the zero-delay fast path); always
         #: drained before the heap.  Every entry is at time ``_now`` with
-        #: default priority and a conceptually-larger seq than anything
-        #: on the heap at that instant (enforced at append time).
+        #: a conceptually-smaller seq than anything on the heap at that
+        #: instant (nothing heaped was due now at append time).
         self._now_queue: deque[Event] = deque()
         self._seq = itertools.count()
         self.processes_started = 0
@@ -475,7 +468,7 @@ class Engine:
         #: Optional ready-set scheduler ``hook(events) -> index``.  When
         #: set, dispatch goes through :meth:`_step_controlled`: at every
         #: instant where more than one event is tied for dispatch at
-        #: equal ``(time, priority)``, the hook is shown the tied events
+        #: equal time, the hook is shown the tied events
         #: (in default seq order) and picks which fires next.  Choosing
         #: index 0 everywhere reproduces the default schedule exactly.
         #: None (the default) keeps the inlined hot loop untouched —
@@ -537,21 +530,19 @@ class Engine:
         return AnyOf(self, events)
 
     # -- scheduling -------------------------------------------------------
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = 1) -> None:
+    def _schedule(self, event: Event, delay: float = 0.0) -> None:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        if delay == 0.0 and priority == _DEFAULT_PRIORITY:
+        if delay == 0.0:
             # Fast path: the event is due *now*.  It may jump the heap
             # only if nothing on the heap is also due now — a new event
             # always holds the largest seq, so anything already heaped at
-            # this instant (and default-or-better priority) sorts first.
+            # this instant sorts first.
             heap = self._heap
-            if not heap or heap[0][0] > self._now or (
-                heap[0][0] == self._now and heap[0][1] > priority
-            ):
+            if not heap or heap[0][0] > self._now:
                 self._now_queue.append(event)
                 return
-        heapq.heappush(self._heap, (self._now + delay, priority, next(self._seq), event))
+        heapq.heappush(self._heap, (self._now + delay, next(self._seq), event))
 
     # -- running ----------------------------------------------------------
     def _pick(self, events: list) -> Event:
@@ -564,59 +555,26 @@ class Engine:
         """One dispatch step under the pluggable ready-set scheduler.
 
         Dispatch semantics match :meth:`step` exactly, except that ties —
-        events dispatchable at the same ``(time, priority)`` — are
-        resolved by ``self.scheduler`` instead of arrival (seq) order.
-        Events at different priorities are never offered together: their
-        relative order is a modeled guarantee, not a schedule artifact.
-        Choosing index 0 at every decision point reproduces the default
-        schedule event-for-event.
+        events dispatchable at the same time — are resolved by
+        ``self.scheduler`` instead of arrival (seq) order.  Choosing index
+        0 at every decision point reproduces the default schedule
+        event-for-event.
         """
         queue = self._now_queue
         heap = self._heap
-        if queue:
-            if heap and heap[0][1] < _DEFAULT_PRIORITY and heap[0][0] <= self._now:
-                # Same-instant higher-priority heap entries outrank the
-                # FIFO; only entries at that priority are tied.
-                tied = sorted(
-                    (e for e in heap
-                     if e[0] == heap[0][0] and e[1] == heap[0][1]),
-                    key=lambda e: e[2],
-                )
-                event = self._pick([e[3] for e in tied])
-                if event is tied[0][3]:
-                    heapq.heappop(heap)
-                else:
-                    heap.remove(next(e for e in tied if e[3] is event))
-                    heapq.heapify(heap)
-            else:
-                # FIFO entries were all appended before any same-instant
-                # default-priority heap entry could be pushed (the append
-                # guard forbids coexistence in the other order), so the
-                # default order is queue first, then heap entries by seq.
-                tied = sorted(
-                    (e for e in heap
-                     if e[0] <= self._now and e[1] == _DEFAULT_PRIORITY),
-                    key=lambda e: e[2],
-                )
-                event = self._pick(list(queue) + [e[3] for e in tied])
-                try:
-                    queue.remove(event)
-                except ValueError:
-                    heap.remove(next(e for e in tied if e[3] is event))
-                    heapq.heapify(heap)
-        else:
-            when, prio = heap[0][0], heap[0][1]
-            tied = sorted(
-                (e for e in heap if e[0] == when and e[1] == prio),
-                key=lambda e: e[2],
-            )
-            event = self._pick([e[3] for e in tied])
-            self._now = when
-            if event is tied[0][3]:
-                heapq.heappop(heap)
-            else:
-                heap.remove(next(e for e in tied if e[3] is event))
-                heapq.heapify(heap)
+        if not queue:
+            self._now = heap[0][0]
+        # FIFO entries were all appended before any same-instant heap
+        # entry could be pushed (the append guard forbids coexistence in
+        # the other order), so the default order is queue first, then
+        # heap entries due now by seq.
+        tied = sorted((e for e in heap if e[0] <= self._now), key=lambda e: e[1])
+        event = self._pick(list(queue) + [e[2] for e in tied])
+        try:
+            queue.remove(event)
+        except ValueError:
+            heap.remove(next(e for e in tied if e[2] is event))
+            heapq.heapify(heap)
         if self.trace is not None:
             self.trace(self._now, event)
         event._process_callbacks()
@@ -628,15 +586,9 @@ class Engine:
             return
         queue = self._now_queue
         if queue:
-            heap = self._heap
-            if heap and heap[0][1] < _DEFAULT_PRIORITY and heap[0][0] <= self._now:
-                # A same-instant, higher-priority heap entry outranks the
-                # FIFO (the fast path never admits those).
-                event = heapq.heappop(heap)[3]
-            else:
-                event = queue.popleft()
+            event = queue.popleft()
         else:
-            when, _prio, _seq, event = heapq.heappop(self._heap)
+            when, _seq, event = heapq.heappop(self._heap)
             self._now = when
         if self.trace is not None:
             self.trace(self._now, event)
@@ -667,20 +619,15 @@ class Engine:
                 self._now = until
             return
         if until is None:
-            # Hot loop: Engine.step inlined minus the dead branches (the
-            # now-queue never holds non-default priorities, so the only
-            # check needed against the heap is done at append time).
+            # Hot loop: Engine.step inlined.
             heappop = heapq.heappop
             while queue or heap:
                 if queue:
-                    if heap and heap[0][1] < _DEFAULT_PRIORITY and heap[0][0] <= self._now:
-                        event = heappop(heap)[3]
-                    else:
-                        event = queue.popleft()
+                    event = queue.popleft()
                 else:
                     item = heappop(heap)
                     self._now = item[0]
-                    event = item[3]
+                    event = item[2]
                 if self.trace is not None:
                     self.trace(self._now, event)
                 event._process_callbacks()

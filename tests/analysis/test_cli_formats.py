@@ -57,6 +57,7 @@ def test_github_escaping_keeps_annotations_single_line():
 def test_format_usage_errors(capsys):
     assert cli_main(["lint", "--format"]) == 2
     assert cli_main(["lint", "--format", "yaml", "x.py"]) == 2
+    assert cli_main(["lint", "--help"]) == 0
 
 
 # -- check formats ----------------------------------------------------------

@@ -13,7 +13,6 @@ from repro.cluster import Cluster
 from repro.core.namespace_api import Cudele
 from repro.core.policy import SubtreePolicy
 from repro.obs import Observability, observe
-from repro.rados.objects import RadosObject
 
 
 @pytest.fixture(autouse=True)
@@ -89,22 +88,32 @@ def test_conformance_cell_identical_under_obs():
     assert any(r["mechanism"] == "rpc" for r in summary["breakdown"])
 
 
+def _daemons(cluster):
+    yield cluster
+    for mds in cluster.mds_list:
+        yield mds
+        yield mds.journal
+    yield from cluster.objstore.osds
+    yield from cluster.clients
+    yield from cluster._dclients
+
+
 def test_attach_detach_restores_hooks():
     cluster = Cluster(seed=1)
-    prev_mutate = RadosObject.on_mutate
+    cluster.new_client()
+    cluster.new_decoupled_client()
     obs = Observability(cluster, profile=True).attach()
-    assert cluster.obs is obs
-    assert cluster.mds.obs is obs
+    sink = cluster.sink
+    assert sink is not None and sink.subscribers == (obs,)
+    assert all(d.sink is sink for d in _daemons(cluster))
     assert cluster.engine.sleep_hook is not None
     with pytest.raises(RuntimeError):
         obs.attach()
     obs.detach()
-    assert RadosObject.on_mutate is prev_mutate
     assert cluster.engine.sleep_hook is None
-    assert cluster.obs is None
-    assert cluster.mds.obs is None
-    assert cluster.objstore.osds[0].obs is None
+    assert all(d.sink is None for d in _daemons(cluster))
     obs.detach()  # idempotent
+    assert cluster.subscribers == ()
 
 
 def test_serial_cluster_attach_does_not_touch_the_engine():
@@ -118,13 +127,13 @@ def test_serial_cluster_attach_does_not_touch_the_engine():
 
 def test_clients_created_after_attach_inherit_obs():
     cluster = Cluster(seed=1)
-    with Observability(cluster) as obs:
+    with Observability(cluster):
         client = cluster.new_client()
         dclient = cluster.new_decoupled_client()
-        assert client.obs is obs
-        assert dclient.obs is obs
-    assert client.obs is None
-    assert dclient.obs is None
+        assert client.sink is cluster.sink is not None
+        assert dclient.sink is cluster.sink
+    assert client.sink is None
+    assert dclient.sink is None
 
 
 def test_corruption_cell_identical_under_obs():

@@ -2,7 +2,7 @@
 
 The engine may route an immediate event through the FIFO "now" queue
 instead of the heap, but only when that cannot change the documented
-``(time, priority, seq)`` dispatch order.  These tests pin the
+``(time, seq)`` dispatch order.  These tests pin the
 observable consequences; docs/PERFORMANCE.md explains the argument.
 """
 
@@ -56,20 +56,6 @@ def test_fastpath_event_never_jumps_a_same_instant_heap_entry():
     eng.process(b())
     eng.run()
     assert order == ["a", "b", "ev-waiter"]
-
-
-def test_higher_priority_heap_entry_beats_the_fifo():
-    eng = Engine()
-    order = []
-    first, second = Event(eng), Event(eng)
-    first.add_callback(lambda _e: order.append("fifo"))
-    second.add_callback(lambda _e: order.append("priority0"))
-    first.succeed()  # heap empty -> rides the now-queue
-    # Host-scheduled urgent event: same instant, priority 0.
-    second._state = 1  # _TRIGGERED, as succeed() would set
-    eng._schedule(second, 0.0, priority=0)
-    eng.run()
-    assert order == ["priority0", "fifo"]
 
 
 def test_peek_sees_immediate_events():
